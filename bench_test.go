@@ -21,7 +21,6 @@ import (
 	"automdt/internal/experiments"
 	"automdt/internal/metrics"
 	"automdt/internal/rl"
-	"automdt/internal/sim"
 )
 
 func benchMode() experiments.Mode {
@@ -278,14 +277,8 @@ func BenchmarkLoopbackEngine(b *testing.B) {
 }
 
 // BenchmarkSimulatorStep measures the Algorithm 1 event loop at the
-// paper's read-bottleneck operating point.
-func BenchmarkSimulatorStep(b *testing.B) {
-	s := sim.New(experiments.ReadBottleneck().Cfg)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Step(13, 1, 7, 5)
-	}
-}
+// paper's read-bottleneck operating point, with training jitter.
+func BenchmarkSimulatorStep(b *testing.B) { enginebench.SimStep(b) }
 
 // BenchmarkPPOUpdate measures one Algorithm 2 episode (collect + update)
 // against the simulator environment with the paper's full-size networks.

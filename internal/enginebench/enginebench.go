@@ -1,8 +1,9 @@
-// Package enginebench is the transfer-engine micro-benchmark suite
-// behind `automdt-bench -exp engine` and the CI bench gate. The same
-// benchmark bodies back the `go test -bench Engine` benchmarks in the
-// repo root and the machine-readable BENCH_engine.json artifact that CI
-// uploads and diffs against the committed baseline.
+// Package enginebench is the transfer-engine micro-benchmark suite, plus
+// the offline-training simulator step, behind `automdt-bench -exp
+// engine` and the CI bench gate. The same benchmark bodies back the
+// `go test -bench Engine` benchmarks in the repo root and the
+// machine-readable BENCH_engine.json artifact that CI uploads and diffs
+// against the committed baseline.
 package enginebench
 
 import (
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"strings"
@@ -19,6 +21,7 @@ import (
 
 	"automdt/internal/flight"
 	"automdt/internal/fsim"
+	"automdt/internal/sim"
 	"automdt/internal/transfer"
 	"automdt/internal/wire"
 	"automdt/internal/workload"
@@ -114,6 +117,28 @@ func ArenaGetRelease(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf := arena.Get(sizes[i&3])
 		buf.Release()
+	}
+}
+
+// SimStep measures one offline-training simulator step (Algorithm 1's
+// event loop) at the paper's read-bottleneck operating point ⟨13,1,7,5⟩
+// with the training jitter on. It allocates nothing once warm, so the
+// allocs/op gate catches any boxing or per-event garbage creeping back.
+func SimStep(b *testing.B) {
+	s := sim.New(sim.Config{
+		TPT:            [3]float64{80, 160, 200},
+		Bandwidth:      [3]float64{1000, 1000, 1000},
+		SenderBufCap:   500,
+		ReceiverBufCap: 500,
+		ChunkMb:        8,
+		Jitter:         0.05,
+		Rand:           rand.New(rand.NewSource(1)),
+	})
+	s.Step(13, 1, 7, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step(13, 1, 7, 5)
 	}
 }
 
@@ -694,6 +719,7 @@ func Run(quick bool) Report {
 		toResult("frame_decode", chunkBytes, testing.Benchmark(FrameDecode)),
 		toResult("staging_handoff", chunkBytes, testing.Benchmark(StagingHandoff)),
 		toResult("arena_get_release", 0, testing.Benchmark(ArenaGetRelease)),
+		toResult("sim_step", 0, testing.Benchmark(SimStep)),
 		// Checksums on (the default) and off, so the gate tracks the
 		// CRC-32C cost of the integrity/resume machinery.
 		toResult("loopback_e2e", loopBytes, testing.Benchmark(LoopbackE2E(quick, true))),

@@ -109,6 +109,7 @@ func TestMicroBenchmarksRun(t *testing.T) {
 		"frame_decode":      FrameDecode,
 		"staging_handoff":   StagingHandoff,
 		"arena_get_release": ArenaGetRelease,
+		"sim_step":          SimStep,
 	} {
 		r := testing.Benchmark(fn)
 		if r.N < 1 || r.T <= 0 {

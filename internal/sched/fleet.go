@@ -324,13 +324,26 @@ func (f *FleetRunner) Run(ctx context.Context, spec JobSpec, ctrl env.Controller
 		}
 	}
 
+	tr := &sessTrack{epID: ep.id, done: make(chan struct{})}
 	f.mu.Lock()
-	f.sess[session] = &sessTrack{epID: ep.id, done: make(chan struct{})}
+	f.sess[session] = tr
 	f.mu.Unlock()
 
 	src := fsim.NewSyntheticStore()
 	send := &transfer.Sender{Cfg: spec.Transfer, Store: src, Manifest: spec.Manifest, Controller: ctrl}
-	return send.Run(ctx, ep.recv.DataAddr(), ep.recv.CtrlAddr())
+	res, err := send.Run(ctx, ep.recv.DataAddr(), ep.recv.CtrlAddr())
+	if err == nil && session != "" {
+		// The sender returns on the receiver's Done status, a moment
+		// before the receiver releases the session and counts it
+		// completed. Settle that accounting before the job reports done,
+		// so endpoint gauges read after the job agree with its state.
+		select {
+		case <-tr.done:
+		case <-ep.done:
+		case <-ctx.Done():
+		}
+	}
+	return res, err
 }
 
 // Addrs returns the FIRST endpoint's data and control addresses,

@@ -1,8 +1,9 @@
 // Package sim implements the lightweight I/O–network dynamics simulator
 // of AutoMDT (Algorithm 1 of the paper). It emulates one second of
-// modular transfer activity per Step call using a priority queue of
-// (time, threadType) tasks instead of real threads, tracking the
-// application-level staging buffers at the sender and receiver.
+// modular transfer activity per Step call with discrete events — one
+// pending (time, threadType) task per emulated thread — instead of real
+// threads, tracking the application-level staging buffers at the sender
+// and receiver.
 //
 // The simulator is initialized with per-thread throughputs (TPT), aggregate
 // bandwidths, and buffer capacities measured during the exploration and
@@ -12,14 +13,35 @@
 // receiver space, writes need receiver data — so the agent can learn the
 // coupled dynamics without touching a production network.
 //
+// # Event loop
+//
+// Events pop in strict (t, seq) order, where seq numbers events in the
+// order they were scheduled. Pending events live in two typed,
+// allocation-free queues:
+//
+//   - a binary min-heap of chunk-completion events (t+dTask+tiny), whose
+//     times depend on the jittered rate and arrive in any order;
+//   - a FIFO ring of the start-of-step tasks and every blocked retry
+//     (t+RetryDelay).
+//
+// Step repeatedly pops whichever head is smaller. The FIFO needs no
+// sorting: pops come out in nondecreasing (t, seq) order and every push
+// is later than the pop that made it, so the retry times t+RetryDelay of
+// successive pops are nondecreasing (floating-point addition is
+// monotone) and their fresh seq numbers increase. The start-of-step
+// tasks (t = 0, seq 0…n-1) precede them all. Since (t, seq) is a strict
+// total order, the merged pop sequence — and so every Rand draw and
+// every float operation — is the one a single priority queue over all
+// events would produce. Every emulated thread has exactly one pending
+// event, so both queues are bounded by the thread count and reuse their
+// storage across steps.
+//
 // Units: data volumes are megabits (Mb) and rates are megabits per second
 // (Mbps), matching the paper's reporting.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -139,7 +161,8 @@ type Simulator struct {
 	senderBuf   float64
 	receiverBuf float64
 
-	q taskQueue
+	busy  eventHeap // chunk-completion events
+	ready eventRing // start-of-step tasks and blocked retries
 }
 
 // New creates a simulator from cfg. It panics if cfg is invalid; call
@@ -163,8 +186,8 @@ func (s *Simulator) Reset() {
 // SetBuffers overrides the staging occupancies, clamping to capacity.
 // Used to randomize initial conditions between training episodes.
 func (s *Simulator) SetBuffers(sender, receiver float64) {
-	s.senderBuf = math.Max(0, math.Min(sender, s.cfg.SenderBufCap))
-	s.receiverBuf = math.Max(0, math.Min(receiver, s.cfg.ReceiverBufCap))
+	s.senderBuf = max(0, min(sender, s.cfg.SenderBufCap))
+	s.receiverBuf = max(0, min(receiver, s.cfg.ReceiverBufCap))
 }
 
 // Buffers returns the current sender and receiver staging occupancies.
@@ -199,26 +222,101 @@ func (s *Simulator) SetTPT(st Stage, mbps float64) {
 	}
 }
 
-// task is one scheduled thread work item.
-type task struct {
+// event is one emulated thread's pending task execution. seq numbers
+// events in scheduling order and breaks time ties, so (t, seq) is a
+// strict total order.
+type event struct {
 	t     float64
-	stage Stage
 	seq   int
+	stage Stage
 }
 
-// taskQueue is a min-heap ordered by time, then sequence for determinism.
-type taskQueue []task
-
-func (q taskQueue) Len() int { return len(q) }
-func (q taskQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+func (a event) before(b event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q taskQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *taskQueue) Push(x any)   { *q = append(*q, x.(task)) }
-func (q *taskQueue) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
+
+// eventHeap is a binary min-heap of events under (t, seq).
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	*h = q
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
+}
+
+// eventRing is a FIFO of events pushed in (t, seq) order, so its head
+// is always its minimum.
+type eventRing struct {
+	buf     []event
+	head, n int
+}
+
+// reset empties the ring and sizes it for capacity pending events.
+func (r *eventRing) reset(capacity int) {
+	if len(r.buf) < capacity {
+		r.buf = make([]event, capacity)
+	}
+	r.head, r.n = 0, 0
+}
+
+func (r *eventRing) push(e event) {
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = e
+	r.n++
+}
+
+func (r *eventRing) pop() event {
+	e := r.buf[r.head]
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	return e
+}
 
 // effectiveRate returns a single thread's rate for the stage given n
 // concurrent threads: near-linear scaling capped by the aggregate
@@ -227,10 +325,10 @@ func (q *taskQueue) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q
 func (s *Simulator) effectiveRate(st Stage, n, conns int) float64 {
 	r := s.cfg.TPT[st]
 	if bw := s.cfg.Bandwidth[st]; bw > 0 && n > 0 {
-		r = math.Min(r, bw/float64(n))
+		r = min(r, bw/float64(n))
 	}
 	if st == Network && s.cfg.ConnMbps > 0 && n > 0 && conns > 0 {
-		r = math.Min(r, s.cfg.ConnMbps*float64(conns)/float64(n))
+		r = min(r, s.cfg.ConnMbps*float64(conns)/float64(n))
 	}
 	if s.cfg.Jitter > 0 && s.cfg.Rand != nil {
 		r *= 1 + s.cfg.Jitter*(2*s.cfg.Rand.Float64()-1)
@@ -253,64 +351,66 @@ func (s *Simulator) Step(nr, nc, ns, nw int) Result {
 	nc = max(0, nc)
 	nn := nc * max(0, ns)
 
-	s.q = s.q[:0]
+	counts := [3]int{max(0, nr), nn, max(0, nw)}
+	s.busy = s.busy[:0]
+	s.ready.reset(counts[Read] + counts[Network] + counts[Write])
 	seq := 0
-	schedule := func(st Stage, count int) {
-		for i := 0; i < count; i++ {
-			s.q = append(s.q, task{t: 0, stage: st, seq: seq})
+	for st := Read; st <= Write; st++ {
+		for i := 0; i < counts[st]; i++ {
+			s.ready.push(event{t: 0, seq: seq, stage: st})
 			seq++
 		}
 	}
-	schedule(Read, max(0, nr))
-	schedule(Network, nn)
-	schedule(Write, max(0, nw))
-	heap.Init(&s.q)
-
-	counts := [3]int{max(0, nr), nn, max(0, nw)}
 	const tiny = 1e-9
 
-	for s.q.Len() > 0 {
-		tk := heap.Pop(&s.q).(task)
-		t := tk.t
+	for s.ready.n > 0 || len(s.busy) > 0 {
+		var ev event
+		if s.ready.n > 0 && (len(s.busy) == 0 || s.ready.buf[s.ready.head].before(s.busy[0])) {
+			ev = s.ready.pop()
+		} else {
+			ev = s.busy.pop()
+		}
+		t := ev.t
 
 		// TASK(t, threadType): attempt one chunk move.
 		var avail float64
-		switch tk.stage {
+		switch ev.stage {
 		case Read:
 			avail = cfg.SenderBufCap - s.senderBuf
 		case Network:
-			avail = math.Min(s.senderBuf, cfg.ReceiverBufCap-s.receiverBuf)
+			avail = min(s.senderBuf, cfg.ReceiverBufCap-s.receiverBuf)
 		case Write:
 			avail = s.receiverBuf
 		}
-		var tNext float64
 		if avail <= tiny {
 			// Blocked: retry after ϵ.
-			tNext = t + cfg.RetryDelay
-		} else {
-			chunk := math.Min(cfg.ChunkMb, avail)
-			rate := s.effectiveRate(tk.stage, counts[tk.stage], nc)
-			dTask := chunk / rate
-			if t+dTask > tEnd {
-				// Partial completion at the step boundary.
-				frac := (tEnd - t) / dTask
-				chunk *= frac
-				dTask = tEnd - t
+			if tNext := t + cfg.RetryDelay; tNext < tEnd {
+				s.ready.push(event{t: tNext, seq: seq, stage: ev.stage})
+				seq++
 			}
-			moved[tk.stage] += chunk
-			switch tk.stage {
-			case Read:
-				s.senderBuf = math.Min(cfg.SenderBufCap, s.senderBuf+chunk)
-			case Network:
-				s.senderBuf = math.Max(0, s.senderBuf-chunk)
-				s.receiverBuf = math.Min(cfg.ReceiverBufCap, s.receiverBuf+chunk)
-			case Write:
-				s.receiverBuf = math.Max(0, s.receiverBuf-chunk)
-			}
-			tNext = t + dTask + tiny
+			continue
 		}
-		if tNext < tEnd {
-			heap.Push(&s.q, task{t: tNext, stage: tk.stage, seq: seq})
+		chunk := min(cfg.ChunkMb, avail)
+		rate := s.effectiveRate(ev.stage, counts[ev.stage], nc)
+		dTask := chunk / rate
+		if t+dTask > tEnd {
+			// Partial completion at the step boundary.
+			frac := (tEnd - t) / dTask
+			chunk *= frac
+			dTask = tEnd - t
+		}
+		moved[ev.stage] += chunk
+		switch ev.stage {
+		case Read:
+			s.senderBuf = min(cfg.SenderBufCap, s.senderBuf+chunk)
+		case Network:
+			s.senderBuf = max(0, s.senderBuf-chunk)
+			s.receiverBuf = min(cfg.ReceiverBufCap, s.receiverBuf+chunk)
+		case Write:
+			s.receiverBuf = max(0, s.receiverBuf-chunk)
+		}
+		if tNext := t + dTask + tiny; tNext < tEnd {
+			s.busy.push(event{t: tNext, seq: seq, stage: ev.stage})
 			seq++
 		}
 	}
@@ -325,11 +425,4 @@ func (s *Simulator) Step(nr, nc, ns, nw int) Result {
 		res.Throughput[st] = moved[st] / tEnd
 	}
 	return res
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -366,6 +366,19 @@ func TestConnCeilingZeroMeansUncapped(t *testing.T) {
 	}
 }
 
+// TestStepAllocationFree guards the event loop's storage reuse: once a
+// first call has sized the queues, a Step with jitter allocates nothing.
+func TestStepAllocationFree(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Jitter = 0.05
+	cfg.Rand = rand.New(rand.NewSource(7))
+	s := New(cfg)
+	s.Step(13, 2, 7, 5)
+	if n := testing.AllocsPerRun(100, func() { s.Step(13, 2, 7, 5) }); n != 0 {
+		t.Fatalf("Step allocated %v times per call after warm-up, want 0", n)
+	}
+}
+
 func BenchmarkStep(b *testing.B) {
 	s := New(baseConfig())
 	b.ReportAllocs()

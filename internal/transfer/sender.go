@@ -701,7 +701,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 	}
 	sendFrame = func(f wire.Frame, hint int) error {
 		for {
-			c := conns.pick(hint)
+			c := conns.claim(hint)
 			if c == nil {
 				return errConnsExhausted
 			}
@@ -852,7 +852,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			return nil
 		}
 		for {
-			c := conns.pick(hint)
+			c := conns.claim(hint)
 			if c == nil {
 				return errConnsExhausted
 			}
@@ -908,7 +908,7 @@ func (s *Sender) Run(ctx context.Context, dataAddr, ctrlAddr string) (res *Resul
 			return resendBuffered(ch, hint)
 		}
 		for {
-			c := conns.pick(hint)
+			c := conns.claim(hint)
 			if c == nil {
 				return errConnsExhausted
 			}

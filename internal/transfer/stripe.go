@@ -39,9 +39,11 @@ type dataConn struct {
 	fw   wire.FrameWriter
 	sent []chunkRef
 
-	// dead is guarded by the owning connSet's mutex, not mu, so pick can
-	// skip dead slots without taking each slot's write lock.
-	dead bool
+	// dead and claimed are guarded by the owning connSet's mutex, not
+	// mu, so pick can skip dead slots without taking each slot's write
+	// lock. claimed latches once claim has handed the slot out.
+	dead    bool
+	claimed bool
 }
 
 // takeHistory drains a dead slot's sent history for recovery.
@@ -70,14 +72,13 @@ type connSet struct {
 }
 
 func newConnSet(want int, dial func(int) (net.Conn, error), onConn func(int, net.Conn)) *connSet {
-	if want < 1 {
-		want = 1
-	}
-	return &connSet{dial: dial, onConn: onConn, want: want}
+	cs := &connSet{dial: dial, onConn: onConn}
+	cs.setWant(want)
+	return cs
 }
 
 // setWant resizes the live prefix. Growth exposes fresh slots (dialed on
-// first pick); shrinking retires slots beyond the prefix without closing
+// first write); shrinking retires slots beyond the prefix without closing
 // them — their kernel buffers keep draining, and a later grow reuses
 // them.
 func (cs *connSet) setWant(n int) {
@@ -86,6 +87,9 @@ func (cs *connSet) setWant(n int) {
 	}
 	cs.mu.Lock()
 	cs.want = n
+	for len(cs.conns) < n {
+		cs.conns = append(cs.conns, &dataConn{index: len(cs.conns)})
+	}
 	cs.mu.Unlock()
 }
 
@@ -107,9 +111,6 @@ func (cs *connSet) size() int {
 func (cs *connSet) pick(hint int) *dataConn {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	for len(cs.conns) < cs.want {
-		cs.conns = append(cs.conns, &dataConn{index: len(cs.conns)})
-	}
 	if hint >= 0 {
 		if c := cs.conns[hint%cs.want]; !c.dead {
 			return c
@@ -128,6 +129,25 @@ func (cs *connSet) pick(hint int) *dataConn {
 		}
 	}
 	return nil
+}
+
+// claim is how the sender chooses a slot for a write: it hands each live
+// slot of the prefix out once, then falls back to pick. Affinity alone
+// leaves a slot idle when none of the workers pinned to it wins a batch
+// of staged chunks (a few hot workers can drain a fast transfer), so
+// claim is what makes every connection the controller asked for carry
+// data, including slots a later setWant exposes.
+func (cs *connSet) claim(hint int) *dataConn {
+	cs.mu.Lock()
+	for _, c := range cs.conns[:cs.want] {
+		if !c.claimed && !c.dead {
+			c.claimed = true
+			cs.mu.Unlock()
+			return c
+		}
+	}
+	cs.mu.Unlock()
+	return cs.pick(hint)
 }
 
 // markDead retires a failed slot permanently and closes its socket. It

@@ -209,3 +209,26 @@ func TestConnSetWorkerAffinity(t *testing.T) {
 		}
 	}
 }
+
+// claim hands every slot of the prefix out once before falling back to
+// the worker's pinned slot, so one hot worker alone still puts data on
+// every connection — including slots a later grow exposes.
+func TestConnSetClaimCoversEverySlot(t *testing.T) {
+	cs := newConnSet(4, func(int) (net.Conn, error) { return nil, nil }, nil)
+	for want := 0; want < 4; want++ {
+		if idx := cs.claim(5).index; idx != want {
+			t.Fatalf("claim %d handed out slot %d, want fresh slot %d", want, idx, want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if idx := cs.claim(5).index; idx != 5%4 {
+			t.Fatalf("claim after every slot carried data picked %d, want pinned slot %d", idx, 5%4)
+		}
+	}
+	cs.setWant(6)
+	for _, want := range []int{4, 5} {
+		if idx := cs.claim(5).index; idx != want {
+			t.Fatalf("claim after grow handed out slot %d, want fresh slot %d", idx, want)
+		}
+	}
+}
